@@ -1,8 +1,8 @@
 // Epoch-based reclamation: protocol unit tests (pin/retire/advance
 // ordering, sweep gating, deleter accounting) plus churn stress over
-// the SIREAD manager in both epoch_reclaim modes, ending with the
-// limbo provably drained (RetiredObjectCount() == 0) and, in epoch
-// mode, zero exclusive registry acquisitions on the teardown path.
+// the SIREAD manager, ending with the limbo provably drained
+// (RetiredObjectCount() == 0) and zero exclusive registry acquisitions
+// on the teardown path.
 #include "util/epoch.h"
 
 #include <atomic>
@@ -168,24 +168,16 @@ TEST(EpochTest, ConcurrentRetireAndSweepStress) {
 }
 
 // ---------------------------------------------------------------------------
-// SIREAD manager teardown churn under both reclamation modes.
+// SIREAD manager teardown churn.
 // ---------------------------------------------------------------------------
 
-EngineConfig ConfigFor(uint32_t epoch_reclaim) {
+// Register/flag/abort/commit/cleanup churn across 8 threads. Asserts the
+// hard acceptance bound: the teardown path performed ZERO exclusive
+// registry acquisitions, and the limbo drains to zero after quiesce.
+TEST(EpochReclaimTest, XactChurnEpochMode) {
   EngineConfig cfg;
-  cfg.epoch_reclaim = epoch_reclaim;
-  return cfg;
-}
-
-// Register/flag/abort/commit/cleanup churn across 8 threads. In epoch
-// mode asserts the hard acceptance bound: the teardown path performed
-// ZERO exclusive registry acquisitions, and the limbo drains to zero
-// after quiesce.
-void RunXactChurn(uint32_t epoch_reclaim) {
-  EngineConfig cfg = ConfigFor(epoch_reclaim);
   EpochManager em;
-  ssi::SireadLockManager mgr(cfg, &em);
-  ASSERT_EQ(mgr.epoch_mode(), epoch_reclaim != 0);
+  ssi::SireadLockManager mgr(cfg, em);
   const uint64_t exclusive_before = mgr.registry_exclusive_acquires();
 
   constexpr int kThreads = 8;
@@ -233,25 +225,17 @@ void RunXactChurn(uint32_t epoch_reclaim) {
   EXPECT_EQ(mgr.TotalLockCount(), 0u);
   EXPECT_EQ(em.RetiredObjectCount(), 0u);
   // Audit the counter BEFORE CheckConsistency — that call takes the
-  // registry exclusive by design (stop-the-world introspection).
-  if (epoch_reclaim != 0) {
-    // The whole churn — every Abort, Cleanup, Register, flag — must not
-    // have taken the registry lock exclusive even once.
-    EXPECT_EQ(mgr.registry_exclusive_acquires(), exclusive_before);
-  } else {
-    EXPECT_GT(mgr.registry_exclusive_acquires(), exclusive_before);
-  }
+  // registry exclusive by design (stop-the-world introspection). The
+  // whole churn — every Abort, Cleanup, Register, flag — must not have
+  // taken the registry lock exclusive even once.
+  EXPECT_EQ(mgr.registry_exclusive_acquires(), exclusive_before);
   EXPECT_TRUE(mgr.CheckConsistency());
 }
 
-TEST(EpochReclaimTest, XactChurnEpochMode) { RunXactChurn(1); }
-
-TEST(EpochReclaimTest, XactChurnLegacyMode) { RunXactChurn(0); }
-
 TEST(EpochReclaimTest, GranuleEntriesRetireThroughLimbo) {
-  EngineConfig cfg = ConfigFor(1);
+  EngineConfig cfg;
   EpochManager em;
-  ssi::SireadLockManager mgr(cfg, &em);
+  ssi::SireadLockManager mgr(cfg, em);
   ssi::SerializableXact* x = mgr.Register(1, 1, false);
   for (uint32_t s = 0; s < 8; s++) mgr.AcquireTuple(x, 1, 1, s);
   EXPECT_GT(mgr.TotalLockCount(), 0u);
@@ -270,9 +254,9 @@ TEST(EpochReclaimTest, GranuleEntriesRetireThroughLimbo) {
 }
 
 TEST(EpochReclaimTest, CleanupDrivesLimboEvenWhenNothingFreeable) {
-  EngineConfig cfg = ConfigFor(1);
+  EngineConfig cfg;
   EpochManager em;
-  ssi::SireadLockManager mgr(cfg, &em);
+  ssi::SireadLockManager mgr(cfg, em);
   std::atomic<int> live{0};
   em.Retire(new Tracked(&live), DeleteTracked);
   // No registered xacts at all; Cleanup must still advance the epoch
@@ -282,9 +266,9 @@ TEST(EpochReclaimTest, CleanupDrivesLimboEvenWhenNothingFreeable) {
 }
 
 TEST(EpochReclaimTest, MinCommittedHintAdvances) {
-  EngineConfig cfg = ConfigFor(1);
+  EngineConfig cfg;
   EpochManager em;
-  ssi::SireadLockManager mgr(cfg, &em);
+  ssi::SireadLockManager mgr(cfg, em);
   ssi::SerializableXact* a = mgr.Register(1, 1, false);
   ssi::SerializableXact* b = mgr.Register(2, 1, false);
   ASSERT_TRUE(mgr.PreCommit(a).ok());

@@ -1,8 +1,7 @@
 // OLC index-path regressions: empty-leaf recycling under insert/abort
 // storms, forced-restart cleanup on the guarded insert path (no
 // double-acquired gap coverage, no leaked recycled chains), and a
-// fanout-4 insert storm with concurrent serializable scanners, run in
-// BOTH index_olc modes (the same-binary A/B).
+// fanout-4 insert storm with concurrent serializable scanners.
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -16,14 +15,10 @@
 namespace pgssi {
 namespace {
 
-DatabaseOptions SmallTree(uint32_t olc,
-                          IndexGapLocking gap = IndexGapLocking::kPage,
-                          uint32_t epoch_reclaim = 1) {
+DatabaseOptions SmallTree(IndexGapLocking gap = IndexGapLocking::kPage) {
   DatabaseOptions o;
   o.engine.btree_fanout = 4;  // force deep splits on a handful of keys
-  o.engine.index_olc = olc;
   o.engine.index_gap_locking = gap;
-  o.engine.epoch_reclaim = epoch_reclaim;
   return o;
 }
 
@@ -43,42 +38,35 @@ TxnOptions Serializable() {
 // storm must not grow the leaf chain without bound — every aborted
 // batch's leaves are unlinked once their entries are GC'd.
 TEST(IndexOlcTest, LeafCountBoundedUnderInsertAbortStorm) {
-  for (uint32_t olc : {0u, 1u})
-  for (uint32_t epoch : {0u, 1u}) {
-    SCOPED_TRACE("index_olc=" + std::to_string(olc) +
-                 " epoch_reclaim=" + std::to_string(epoch));
-    auto db = Database::Open(SmallTree(olc, IndexGapLocking::kPage, epoch));
-    TableId t;
-    ASSERT_TRUE(db->CreateTable("s", &t).ok());
-    {
-      auto txn = db->Begin(Serializable());
-      for (int i = 0; i < 8; i++) {
-        ASSERT_TRUE(txn->Insert(t, Key("base", i), "v").ok());
-      }
-      ASSERT_TRUE(txn->Commit().ok());
+  auto db = Database::Open(SmallTree());
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("s", &t).ok());
+  {
+    auto txn = db->Begin(Serializable());
+    for (int i = 0; i < 8; i++) {
+      ASSERT_TRUE(txn->Insert(t, Key("base", i), "v").ok());
     }
-    const size_t base_leaves = db->IndexLeafCount(t);
-    for (int round = 0; round < 50; round++) {
-      auto txn = db->Begin(Serializable());
-      for (int i = 0; i < 20; i++) {
-        ASSERT_TRUE(txn->Insert(t, Key("storm", i), "v").ok());
-      }
-      ASSERT_TRUE(txn->Abort().ok());  // rolls back + drains index GC
-    }
-    EXPECT_EQ(db->IndexEntryCount(t), 8u);
-    EXPECT_EQ(db->LiveTupleChainCount(t), 8u);
-    // Without recycling the chain would hold hundreds of empty leaves
-    // (50 rounds x ~7 leaves of storm keys each).
-    EXPECT_LE(db->IndexLeafCount(t), base_leaves + 2);
-    EXPECT_TRUE(db->CheckSsiLockConsistency());
-    if (epoch != 0) {
-      // The storm's erased entries and recycled leaves went through the
-      // limbo; once quiesced they are actually freed, not retained.
-      db->QuiesceEpochs();
-      EXPECT_EQ(db->EpochRetiredObjectCount(), 0u);
-      EXPECT_GT(db->EpochFreedObjectCount(), 0u);
-    }
+    ASSERT_TRUE(txn->Commit().ok());
   }
+  const size_t base_leaves = db->IndexLeafCount(t);
+  for (int round = 0; round < 50; round++) {
+    auto txn = db->Begin(Serializable());
+    for (int i = 0; i < 20; i++) {
+      ASSERT_TRUE(txn->Insert(t, Key("storm", i), "v").ok());
+    }
+    ASSERT_TRUE(txn->Abort().ok());  // rolls back + drains index GC
+  }
+  EXPECT_EQ(db->IndexEntryCount(t), 8u);
+  EXPECT_EQ(db->LiveTupleChainCount(t), 8u);
+  // Without recycling the chain would hold hundreds of empty leaves
+  // (50 rounds x ~7 leaves of storm keys each).
+  EXPECT_LE(db->IndexLeafCount(t), base_leaves + 2);
+  EXPECT_TRUE(db->CheckSsiLockConsistency());
+  // The storm's erased entries and recycled leaves went through the
+  // limbo; once quiesced they are actually freed, not retained.
+  db->QuiesceEpochs();
+  EXPECT_EQ(db->EpochRetiredObjectCount(), 0u);
+  EXPECT_GT(db->EpochFreedObjectCount(), 0u);
 }
 
 // Satellite: audit of the OLC restart path. A forced restart runs the
@@ -92,7 +80,7 @@ TEST(IndexOlcTest, ForcedRestartLeavesNoExtraCoverageOrChains) {
     SCOPED_TRACE(gap == IndexGapLocking::kPage ? "page" : "next-key");
     size_t counts[2][2];  // [forced][tuple/page locks]
     for (int forced = 0; forced < 2; forced++) {
-      auto db = Database::Open(SmallTree(/*olc=*/1, gap));
+      auto db = Database::Open(SmallTree(gap));
       TableId t;
       ASSERT_TRUE(db->CreateTable("s", &t).ok());
       {
@@ -153,7 +141,7 @@ TEST(IndexOlcTest, ForcedRestartLeavesNoExtraCoverageOrChains) {
 
 // Tentpole stress: 8-thread insert storm (with periodic aborts) plus
 // concurrent serializable scanners across constant leaf splits at
-// fanout 4, in both index_olc modes. Each committed transaction inserts
+// fanout 4. Each committed transaction inserts
 // exactly 3 keys, so every scan must observe a multiple of 3 (snapshot
 // atomicity); the final state must be exactly the committed key set
 // with a consistent SIREAD lock table.
@@ -161,73 +149,69 @@ TEST(IndexOlcTest, InsertStormWithConcurrentScanners) {
   constexpr int kWriters = 8;
   constexpr int kScanners = 2;
   constexpr int kTxnsPerWriter = 30;
-  for (uint32_t olc : {0u, 1u}) {
-    SCOPED_TRACE("index_olc=" + std::to_string(olc));
-    auto db = Database::Open(SmallTree(olc));
-    TableId t;
-    ASSERT_TRUE(db->CreateTable("s", &t).ok());
-    std::atomic<bool> stop{false};
-    std::atomic<int> committed_txns{0};
-    std::atomic<int> atomicity_violations{0};
+  auto db = Database::Open(SmallTree());
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("s", &t).ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> committed_txns{0};
+  std::atomic<int> atomicity_violations{0};
 
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; w++) {
-      writers.emplace_back([&, w] {
-        for (int i = 0; i < kTxnsPerWriter; i++) {
-          auto txn = db->Begin(Serializable());
-          bool ok = true;
-          for (int k = 0; k < 3 && ok; k++) {
-            ok = txn->Insert(t, Key("w", (w * kTxnsPerWriter + i) * 3 + k),
-                             "v")
-                     .ok();
-          }
-          if (!ok || i % 3 == 2) {
-            txn->Abort();
-            continue;
-          }
-          if (txn->Commit().ok()) committed_txns.fetch_add(1);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kTxnsPerWriter; i++) {
+        auto txn = db->Begin(Serializable());
+        bool ok = true;
+        for (int k = 0; k < 3 && ok; k++) {
+          ok = txn->Insert(t, Key("w", (w * kTxnsPerWriter + i) * 3 + k),
+                           "v")
+                   .ok();
         }
-      });
-    }
-    std::vector<std::thread> scanners;
-    for (int s = 0; s < kScanners; s++) {
-      scanners.emplace_back([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-          TxnOptions ro = Serializable();
-          ro.read_only = true;
-          auto txn = db->Begin(ro);
-          uint64_t n = 0;
-          if (txn->Count(t, Key("w", 0), Key("w", 99999), &n).ok()) {
-            if (n % 3 != 0) atomicity_violations.fetch_add(1);
-            txn->Commit();
-          }
+        if (!ok || i % 3 == 2) {
+          txn->Abort();
+          continue;
         }
-      });
-    }
-    for (auto& th : writers) th.join();
-    stop.store(true, std::memory_order_release);
-    for (auto& th : scanners) th.join();
-
-    // Drain any re-enqueued GC records, then verify the final image.
-    for (int i = 0; i < 2; i++) {
-      auto txn = db->Begin(Serializable());
-      ASSERT_TRUE(txn->Commit().ok());
-    }
-    EXPECT_EQ(atomicity_violations.load(), 0);
-    const size_t expect = static_cast<size_t>(committed_txns.load()) * 3;
-    uint64_t n = 0;
-    auto txn = db->Begin(Serializable());
-    ASSERT_TRUE(txn->Count(t, Key("w", 0), Key("w", 99999), &n).ok());
-    ASSERT_TRUE(txn->Commit().ok());
-    EXPECT_EQ(n, expect);
-    EXPECT_EQ(db->IndexEntryCount(t), expect);
-    EXPECT_EQ(db->LiveTupleChainCount(t), expect);
-    EXPECT_TRUE(db->CheckSsiLockConsistency());
-    // Epoch reclamation (on by default here): after the storm quiesces,
-    // nothing may linger in the limbo.
-    db->QuiesceEpochs();
-    EXPECT_EQ(db->EpochRetiredObjectCount(), 0u);
+        if (txn->Commit().ok()) committed_txns.fetch_add(1);
+      }
+    });
   }
+  std::vector<std::thread> scanners;
+  for (int s = 0; s < kScanners; s++) {
+    scanners.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        TxnOptions ro = Serializable();
+        ro.read_only = true;
+        auto txn = db->Begin(ro);
+        uint64_t n = 0;
+        if (txn->Count(t, Key("w", 0), Key("w", 99999), &n).ok()) {
+          if (n % 3 != 0) atomicity_violations.fetch_add(1);
+          txn->Commit();
+        }
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& th : scanners) th.join();
+
+  // Drain any re-enqueued GC records, then verify the final image.
+  for (int i = 0; i < 2; i++) {
+    auto txn = db->Begin(Serializable());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+  EXPECT_EQ(atomicity_violations.load(), 0);
+  const size_t expect = static_cast<size_t>(committed_txns.load()) * 3;
+  uint64_t n = 0;
+  auto txn = db->Begin(Serializable());
+  ASSERT_TRUE(txn->Count(t, Key("w", 0), Key("w", 99999), &n).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+  EXPECT_EQ(n, expect);
+  EXPECT_EQ(db->IndexEntryCount(t), expect);
+  EXPECT_EQ(db->LiveTupleChainCount(t), expect);
+  EXPECT_TRUE(db->CheckSsiLockConsistency());
+  // After the storm quiesces, nothing may linger in the limbo.
+  db->QuiesceEpochs();
+  EXPECT_EQ(db->EpochRetiredObjectCount(), 0u);
 }
 
 }  // namespace

@@ -347,6 +347,50 @@ TEST_F(S2plTest, ThreeWayDeadlockCycleAbortsExactlyOneVictim) {
   EXPECT_EQ(commits, 2);
 }
 
+TEST_F(S2plTest, LateSharerClosingACycleIsDetectedAtRegistration) {
+  // Deadlocks are detected only when a waiter registers, so the wait-for
+  // edges a waiter recorded must stay current. Here T1 waits to upgrade
+  // k, blocked by T3's shared lock; T2 then joins k as a sharer (which
+  // also blocks T1) and waits for j, which T1 holds. The cycle
+  // T1 -> T2 -> T1 must be seen at T2's registration, long before the
+  // (deliberately huge) lock-wait timeout, even though T3 never finishes
+  // during the wait.
+  DatabaseOptions opts;
+  opts.serializable_impl = SerializableImpl::kS2PL;
+  opts.engine.lock_wait_timeout_us = 30'000'000;
+  auto db = Database::Open(opts);
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("t", &t).ok());
+  {
+    auto w = db->Begin();
+    ASSERT_TRUE(w->Put(t, "j", "0").ok());
+    ASSERT_TRUE(w->Put(t, "k", "0").ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  auto ser = TxnOptions{.isolation = IsolationLevel::kSerializable};
+  auto t1 = db->Begin(ser);
+  ASSERT_TRUE(t1->Put(t, "j", "1").ok());
+  auto t3 = db->Begin(ser);
+  std::string v;
+  ASSERT_TRUE(t3->Get(t, "k", &v).ok());
+  Status st1;
+  std::thread upgrader([&] {
+    st1 = t1->Put(t, "k", "1");  // waits for T3's shared lock
+    if (st1.ok()) st1 = t1->Commit();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto t2 = db->Begin(ser);  // youngest: the cycle's victim
+  ASSERT_TRUE(t2->Get(t, "k", &v).ok());
+  const auto start = std::chrono::steady_clock::now();
+  Status st2 = t2->Put(t, "j", "2");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(st2.IsSerializationFailure()) << st2.ToString();
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  ASSERT_TRUE(t3->Abort().ok());  // now T1's upgrade can proceed
+  upgrader.join();
+  EXPECT_TRUE(st1.ok()) << st1.ToString();
+}
+
 TEST_F(S2plTest, ScanBlocksInsertPhantom) {
   // A scanning S2PL txn holds the table-gap lock: a concurrent insert
   // must block until the scanner commits (no phantoms).

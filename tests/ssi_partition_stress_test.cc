@@ -4,7 +4,8 @@
 //    per-xact bookkeeping exactly mirroring them (TotalLockCount /
 //    CheckConsistency invariants);
 //  - write-skew pairs hammered from 8 threads must never commit a
-//    serializable anomaly;
+//    serializable anomaly, nor may a write-skew pair whose two commits
+//    start at the same instant;
 //  - concurrent B+-tree leaf splits with serializable scanners must not
 //    lose predicate locks or corrupt the lock-move bookkeeping.
 // Run under ThreadSanitizer in CI (cmake --preset tsan).
@@ -38,10 +39,10 @@ TEST(SsiPartitionStressTest, ManagerChaosLeavesBookkeepingConsistent) {
   cfg.max_locks_per_page = 4;       // exercise tuple->page promotion
   cfg.max_pages_per_relation = 8;   // and page->relation promotion
   cfg.lock_partitions = 16;
-  // Epoch-mode teardown (the default): granules and xacts retire
-  // through the limbo while the chaos runs.
+  // Teardown retires granules and xacts through the limbo while the
+  // chaos runs.
   util::EpochManager em;
-  ssi::SireadLockManager mgr(cfg, &em);
+  ssi::SireadLockManager mgr(cfg, em);
 
   constexpr int kThreads = 8;
   constexpr int kXactsPerThread = 120 / PGSSI_STRESS_SCALE;
@@ -122,18 +123,13 @@ TEST(SsiPartitionStressTest, ManagerChaosLeavesBookkeepingConsistent) {
 // PreCommit, MarkCommitted, teardown, Cleanup sweeps — on overlapping
 // xact pairs (partners picked from a shared ring of recently registered
 // xids, resolved by xid because they may already be torn down). This is
-// the workload the per-xact edge locks must survive; run under both
-// settings of the conflict_lock_mode A/B knob — and both settings of
-// epoch_reclaim, since teardown-vs-flag races are exactly what the
-// epoch grace period must make safe — ending in a full conflict-graph
-// + lock-table consistency check.
-void RunConflictStorm(uint32_t conflict_lock_mode, uint32_t epoch_reclaim) {
+// the workload the per-xact edge locks must survive — teardown-vs-flag
+// races are exactly what the epoch grace period must make safe — ending
+// in a full conflict-graph + lock-table consistency check.
+TEST(SsiPartitionStressTest, ConflictStormFineGrained) {
   EngineConfig cfg;
-  cfg.conflict_lock_mode = conflict_lock_mode;
-  cfg.epoch_reclaim = epoch_reclaim;
   util::EpochManager em;
-  ssi::SireadLockManager mgr(cfg, epoch_reclaim != 0 ? &em : nullptr);
-  ASSERT_EQ(mgr.epoch_mode(), epoch_reclaim != 0);
+  ssi::SireadLockManager mgr(cfg, em);
 
   constexpr int kThreads = 8;
   constexpr int kXactsPerThread = 250 / PGSSI_STRESS_SCALE;
@@ -182,24 +178,10 @@ void RunConflictStorm(uint32_t conflict_lock_mode, uint32_t epoch_reclaim) {
   mgr.Cleanup(commit_seq.load());
   EXPECT_EQ(mgr.RegisteredCount(), 0u);
   EXPECT_EQ(mgr.TotalLockCount(), 0u);
-  if (epoch_reclaim != 0) {
-    // After quiesce every retired xact/granule must really be gone.
-    em.Quiesce();
-    EXPECT_EQ(em.RetiredObjectCount(), 0u);
-  }
+  // After quiesce every retired xact/granule must really be gone.
+  em.Quiesce();
+  EXPECT_EQ(em.RetiredObjectCount(), 0u);
   EXPECT_TRUE(mgr.CheckConsistency());
-}
-
-TEST(SsiPartitionStressTest, ConflictStormFineGrained) {
-  RunConflictStorm(1, /*epoch_reclaim=*/1);
-}
-
-TEST(SsiPartitionStressTest, ConflictStormFineGrainedLegacyReclaim) {
-  RunConflictStorm(1, /*epoch_reclaim=*/0);
-}
-
-TEST(SsiPartitionStressTest, ConflictStormGlobalMutexBaseline) {
-  RunConflictStorm(0, /*epoch_reclaim=*/1);
 }
 
 int ReadInt(Transaction* txn, TableId t, const std::string& key, bool* ok) {
@@ -265,6 +247,83 @@ TEST(SsiPartitionStressTest, WriteSkewPairsNeverCommitAnomaly) {
     EXPECT_GE(a + b, 0) << "write skew committed on pair " << i;
   }
   ASSERT_TRUE(txn->Commit().ok());
+}
+
+// Reusable spinning barrier: the two parties leave it within nanoseconds
+// of each other, which is what lines their commits up tightly enough to
+// race inside PreCommit.
+class SpinBarrier {
+ public:
+  explicit SpinBarrier(int parties) : parties_(parties) {}
+  void Wait() {
+    const uint64_t gen = gen_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      arrived_.store(0, std::memory_order_relaxed);
+      gen_.fetch_add(1, std::memory_order_acq_rel);
+      return;
+    }
+    while (gen_.load(std::memory_order_acquire) == gen) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  const int parties_;
+  std::atomic<int> arrived_{0};
+  std::atomic<uint64_t> gen_{0};
+};
+
+// Two concurrent SERIALIZABLE transactions both read x and y, then one
+// writes x and the other y: a write-skew cycle (each has an rw edge to
+// the other), so at most one may commit. The commits start at the same
+// instant from two threads, which races the two commit-time
+// dangerous-structure checks against each other: each check reads the
+// other transaction's committed flag, so the check-and-mark must be
+// serialized engine-wide or both can read "not committed" and pass.
+TEST(SsiPartitionStressTest,
+     SimultaneousCommitsOfWriteSkewPairNeverBothSucceed) {
+  auto db = Database::Open({});
+  TableId t;
+  ASSERT_TRUE(db->CreateTable("xy", &t).ok());
+  {
+    auto txn = db->Begin({.isolation = IsolationLevel::kRepeatableRead});
+    ASSERT_TRUE(txn->Put(t, "x", "0").ok());
+    ASSERT_TRUE(txn->Put(t, "y", "0").ok());
+    ASSERT_TRUE(txn->Commit().ok());
+  }
+
+  constexpr int kIterations = 2000 / PGSSI_STRESS_SCALE;
+  SpinBarrier read_done(2);
+  SpinBarrier write_done(2);
+  SpinBarrier commit_done(2);
+  std::array<std::atomic<bool>, 2> committed{};
+  std::atomic<int> skew_at{-1};
+
+  auto party = [&](int me) {
+    const std::string mine = me == 0 ? "x" : "y";
+    for (int it = 0; it < kIterations; it++) {
+      auto txn = db->Begin({.isolation = IsolationLevel::kSerializable});
+      std::string v;
+      bool ok = txn->Get(t, "x", &v).ok() && txn->Get(t, "y", &v).ok();
+      read_done.Wait();
+      ok = ok && txn->Put(t, mine, std::to_string(it)).ok();
+      write_done.Wait();
+      committed[static_cast<size_t>(me)].store(ok && txn->Commit().ok());
+      commit_done.Wait();
+      if (me == 0 && committed[0].load() && committed[1].load()) {
+        skew_at.store(it);
+      }
+      // Nobody reuses the flags until party 0 has read them; both
+      // parties then see the same verdict and stop together.
+      read_done.Wait();
+      if (skew_at.load() >= 0) return;
+    }
+  };
+  std::thread other(party, 1);
+  party(0);
+  other.join();
+  EXPECT_EQ(skew_at.load(), -1)
+      << "write skew: both sides of an rw cycle committed";
 }
 
 TEST(SsiPartitionStressTest, ConcurrentLeafSplitsKeepLocksAndData) {

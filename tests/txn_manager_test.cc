@@ -84,6 +84,70 @@ TEST(TxnManagerTest, CommitBlocksUntilOwnSeqIsPublished) {
   EXPECT_FALSE(m.AnyActiveSerializableRW());
 }
 
+// Regression: adjacent commits racing through the completion ring must
+// never both leave publication to the other. The committer of seq n
+// stores its ring slot and then loads the watermark, while the
+// publisher of n-1 advances the watermark and then loads slot n; if
+// both loads return stale values, n is never published and its
+// committer waits in Commit until some unrelated later commit sweeps
+// it. Two threads commit in lock step; a watchdog that sees no progress
+// issues one extra commit (whose publication sweep releases the
+// stranded waiter, so the test never hangs) and records the failure.
+TEST(TxnManagerTest, ConcurrentCommitsNeverStrandAWaiter) {
+  TxnManager m;
+  constexpr int kThreads = 2;
+  constexpr uint64_t kIterations = 20000;
+  std::atomic<int> arrived{0};
+  std::atomic<uint64_t> generation{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> progress{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; i++) {
+    threads.emplace_back([&] {
+      for (uint64_t it = 0; it < kIterations; it++) {
+        // Spinning barrier: both commits start within nanoseconds.
+        const uint64_t gen = generation.load();
+        if (arrived.fetch_add(1) + 1 == kThreads) {
+          arrived.store(0);
+          generation.fetch_add(1);
+        } else {
+          while (generation.load() == gen) {
+            if (stop.load()) return;
+            std::this_thread::yield();
+          }
+        }
+        auto r = m.Begin(/*serializable_rw=*/false);
+        m.Commit(r.xid, nullptr);
+        progress.fetch_add(1);
+      }
+    });
+  }
+  bool stranded = false;
+  uint64_t stuck_watermark = 0;
+  uint64_t last = 0;
+  auto last_change = std::chrono::steady_clock::now();
+  while (progress.load() < kThreads * kIterations) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const uint64_t p = progress.load();
+    const auto now = std::chrono::steady_clock::now();
+    if (p != last) {
+      last = p;
+      last_change = now;
+    } else if (now - last_change > std::chrono::seconds(2)) {
+      stranded = true;
+      stuck_watermark = m.LastCommittedSeq();
+      stop.store(true);
+      auto extra = m.Begin(/*serializable_rw=*/false);
+      m.Commit(extra.xid, nullptr);
+      break;
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(stranded) << "a commit waited for publication with no "
+                            "further commits; stuck at watermark "
+                         << stuck_watermark;
+}
+
 // Regression (PR 6, WAL failure ordering): a stamp that FAILS (WAL
 // append/fsync error) must return 0, publish its consumed seq as a
 // no-op — the watermark moves past it instead of sticking forever —

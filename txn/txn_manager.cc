@@ -86,7 +86,7 @@ uint64_t TxnManager::Commit(XactId xid,
     std::this_thread::yield();
   }
   ring_[static_cast<size_t>(seq) & (kCommitRing - 1)].store(
-      seq, std::memory_order_release);
+      seq, std::memory_order_seq_cst);
 
   // Batched publication: advance the watermark across every contiguously
   // completed seq. If our predecessor is still stamping we leave our seq
@@ -94,15 +94,26 @@ uint64_t TxnManager::Commit(XactId xid,
   // Each CAS is a release-RMW whose thread acquire-loaded the ring slots
   // it publishes, so a reader acquiring the watermark sees every stamp
   // at or below it.
-  uint64_t w = last_committed_seq_.load(std::memory_order_acquire);
+  //
+  // The slot store and the loads below are a store-then-load handoff
+  // between neighbours (Dekker's pattern): seq n stores its slot and
+  // reads the watermark; the publisher of n-1 CASes the watermark and
+  // reads slot n. With only release/acquire, both loads may return the
+  // old values (x86 lets a store sit in the store buffer past a later
+  // load), so neither side publishes n and its committer waits until
+  // some later commit happens to sweep it. Making every access in the
+  // handoff seq_cst puts them in one total order: either the committer
+  // of n sees the watermark at n-1 and publishes itself, or the
+  // publisher of n-1 sees slot n.
+  uint64_t w = last_committed_seq_.load(std::memory_order_seq_cst);
   for (;;) {
     const uint64_t next = w + 1;
     if (ring_[static_cast<size_t>(next) & (kCommitRing - 1)].load(
-            std::memory_order_acquire) != next) {
+            std::memory_order_seq_cst) != next) {
       break;
     }
     if (last_committed_seq_.compare_exchange_weak(
-            w, next, std::memory_order_acq_rel, std::memory_order_acquire)) {
+            w, next, std::memory_order_seq_cst, std::memory_order_seq_cst)) {
       w = next;
     }
     // On CAS failure `w` reloaded: another publisher advanced; continue

@@ -9,10 +9,7 @@ EpochManager::EpochManager() = default;
 
 EpochManager::~EpochManager() {
   // Destruction contract: no pins, no concurrent retires. Free the lot.
-  for (auto& g : gens_) {
-    std::lock_guard<SpinLock> lg(g.mu);
-    SweepGenerationLocked(g);
-  }
+  for (auto& g : gens_) FreeList(DetachLocked(g));
 }
 
 uint32_t EpochManager::PinSlot() {
@@ -82,10 +79,15 @@ void EpochManager::Retire(void* obj, void (*deleter)(void*)) {
   }
 }
 
-void EpochManager::SweepGenerationLocked(Generation& g) {
+EpochManager::RetiredNode* EpochManager::DetachLocked(Generation& g) {
   RetiredNode* n = g.head;
   g.head = nullptr;
   g.epoch = 0;
+  g.count.store(0, std::memory_order_relaxed);
+  return n;
+}
+
+void EpochManager::FreeList(RetiredNode* n) {
   size_t freed = 0;
   while (n != nullptr) {
     RetiredNode* next = n->next;
@@ -95,7 +97,6 @@ void EpochManager::SweepGenerationLocked(Generation& g) {
     n = next;
   }
   if (freed > 0) {
-    g.count.store(0, std::memory_order_relaxed);
     retired_count_.fetch_sub(freed, std::memory_order_release);
     freed_count_.fetch_add(freed, std::memory_order_relaxed);
   }
@@ -103,6 +104,15 @@ void EpochManager::SweepGenerationLocked(Generation& g) {
 
 void EpochManager::TryAdvanceAndSweep() {
   if (!advance_mu_.try_lock()) return;  // someone else is on it
+  // Lock every generation BEFORE scanning the pin slots. Each object a
+  // generation holds now was unlinked before it was retired, so a thread
+  // whose pin the scan does not see has either unpinned already or
+  // pinned after the unlink — and can reach none of them. A scan taken
+  // before the locks would be stale: a thread could pin and load a
+  // still-linked pointer after the scan, the object could then be
+  // unlinked and retired, and a sweep trusting the old "no pins" answer
+  // would free it under the reader.
+  for (auto& g : gens_) g.mu.lock();
   const uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
   const uint64_t min_pinned = MinPinnedEpoch();
 
@@ -117,15 +127,18 @@ void EpochManager::TryAdvanceAndSweep() {
   // most [pin_epoch, pin_epoch + 1), so min_pinned >= G + 2 means no
   // pin can have begun while epoch-G objects were still linked. With no
   // pins, references cannot be held at all (the Pin contract), so
-  // everything sweeps.
-  for (auto& g : gens_) {
-    std::lock_guard<SpinLock> lg(g.mu);
-    if (g.head == nullptr) continue;
-    if (min_pinned == UINT64_MAX || g.epoch + 2 <= min_pinned) {
-      SweepGenerationLocked(g);
+  // everything sweeps. Deleters run after the locks are released.
+  RetiredNode* dead[kGenerations] = {};
+  for (uint32_t i = 0; i < kGenerations; ++i) {
+    Generation& g = gens_[i];
+    if (g.head != nullptr &&
+        (min_pinned == UINT64_MAX || g.epoch + 2 <= min_pinned)) {
+      dead[i] = DetachLocked(g);
     }
+    g.mu.unlock();
   }
   advance_mu_.unlock();
+  for (RetiredNode* list : dead) FreeList(list);
 }
 
 void EpochManager::Quiesce() {

@@ -132,8 +132,10 @@ class EpochManager {
   /// An in-flight pin (depth > 0, epoch not yet stamped) returns 1,
   /// blocking every sweep until the stamp lands.
   uint64_t MinPinnedEpoch() const;
-  /// Frees g's whole list. g's mu must be held by the caller.
-  void SweepGenerationLocked(Generation& g);
+  /// Empties g and returns its list; g's mu must be held by the caller.
+  static RetiredNode* DetachLocked(Generation& g);
+  /// Runs the deleters of a detached list, with no lock held.
+  void FreeList(RetiredNode* list);
 
   std::atomic<uint64_t> global_epoch_{2};  // > 0 so 0 can mean unpinned
   Slot slots_[kSlots];
